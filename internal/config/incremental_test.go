@@ -34,29 +34,37 @@ func referenceParams(p Params) Params {
 	return p
 }
 
-// sameConfiguration asserts two configurations agree: same bundle
-// partitions, and prices/revenues within tol.
+// sameConfiguration asserts two configurations agree: same bundle and
+// retained-component partitions, and prices/revenues within tol.
 func sameConfiguration(t *testing.T, label string, got, want *Configuration, tol float64) {
 	t.Helper()
 	if math.Abs(got.Revenue-want.Revenue) > tol {
 		t.Errorf("%s: revenue %.12f, reference %.12f", label, got.Revenue, want.Revenue)
 	}
-	if len(got.Bundles) != len(want.Bundles) {
-		t.Fatalf("%s: %d bundles, reference %d", label, len(got.Bundles), len(want.Bundles))
+	sameOffers(t, label+" bundle", got.Bundles, want.Bundles, tol)
+	sameOffers(t, label+" component", got.Components, want.Components, tol)
+}
+
+// sameOffers asserts two offer lists hold the same item sets (in any order)
+// with prices and revenues within tol. The lists are sorted in place.
+func sameOffers(t *testing.T, label string, got, want []Bundle, tol float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d offers, reference %d", label, len(got), len(want))
 	}
 	key := func(b Bundle) string { return fmt.Sprint(b.Items) }
-	sort.Slice(got.Bundles, func(i, j int) bool { return key(got.Bundles[i]) < key(got.Bundles[j]) })
-	sort.Slice(want.Bundles, func(i, j int) bool { return key(want.Bundles[i]) < key(want.Bundles[j]) })
-	for i := range want.Bundles {
-		g, r := got.Bundles[i], want.Bundles[i]
+	sort.Slice(got, func(i, j int) bool { return key(got[i]) < key(got[j]) })
+	sort.Slice(want, func(i, j int) bool { return key(want[i]) < key(want[j]) })
+	for i := range want {
+		g, r := got[i], want[i]
 		if key(g) != key(r) {
-			t.Fatalf("%s: bundle[%d] items %v, reference %v", label, i, g.Items, r.Items)
+			t.Fatalf("%s[%d]: items %v, reference %v", label, i, g.Items, r.Items)
 		}
 		if math.Abs(g.Price-r.Price) > tol {
-			t.Errorf("%s: bundle %v price %.12f, reference %.12f", label, g.Items, g.Price, r.Price)
+			t.Errorf("%s %v: price %.12f, reference %.12f", label, g.Items, g.Price, r.Price)
 		}
 		if math.Abs(g.Revenue-r.Revenue) > tol {
-			t.Errorf("%s: bundle %v revenue %.12f, reference %.12f", label, g.Items, g.Revenue, r.Revenue)
+			t.Errorf("%s %v: revenue %.12f, reference %.12f", label, g.Items, g.Revenue, r.Revenue)
 		}
 	}
 }
