@@ -50,14 +50,15 @@
 // engine. Candidate merges derive the merged bundle's interested-consumer
 // vector from the two parents' cached vectors in O(|a|+|b|) (striped
 // unions) instead of rescanning the raw item postings; candidate pricing
-// runs entirely in per-worker scratch buffers, materializing a bundle node
-// only when a candidate survives the gain filter; mixed-bundling price
-// search sweeps all T price levels in O(m·log m + T) by sorting consumers
-// on their switch-threshold price rather than rescanning all m consumers
-// per level; and both the initial pair seeding and the per-iteration
-// re-pricing after each merge are evaluated by a chunked parallel worker
-// pool (Options via config.Params.Parallelism; results are deterministic
-// regardless of worker count).
+// runs entirely in per-worker scratch buffers and allocates nothing, and a
+// bundle node is materialized only when the algorithm accepts the merge
+// (a matched pair, or greedy's live best candidate); mixed-bundling price
+// search sweeps all T price levels in O(m + T) by filing each consumer
+// under the price level at which they switch to the bundle, rather than
+// rescanning all m consumers per level; and both the initial pair seeding
+// and the per-iteration re-pricing after each merge are evaluated by a
+// chunked parallel worker pool (Options via config.Params.Parallelism;
+// results are deterministic regardless of worker count).
 //
 // Measured on the 600×150 bench corpus (single core, see
 // BENCH_greedy.json): mixed greedy 3.41s → 0.64s per run (5.3×) with 7.8×

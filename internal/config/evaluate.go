@@ -277,40 +277,7 @@ func (e *engine) priceOverParts(n *node, parts []*node) {
 		WB: n.vals, Lo: lo, Hi: hi, BundleCost: n.unitC,
 		Obj: pricing.Objective{ProfitWeight: e.params.ProfitWeight, UnitCost: n.unitC},
 	})
-	n.pay = make([]float64, len(n.ids))
-	n.surp = make([]float64, len(n.ids))
-	n.cost = make([]float64, len(n.ids))
-	n.esur = make([]float64, len(n.ids))
-	alpha := e.params.Model.Alpha()
-	var pay, cost, sur float64
-	for j := range n.ids {
-		var pj, prob float64
-		var switched bool
-		if mq.Feasible {
-			pj, prob, switched = e.pr.ResolveSwitch(n.vals[j], curPay[j], curSurp[j], mq.Price)
-		} else {
-			pj = curPay[j]
-		}
-		n.pay[j] = pj
-		if switched {
-			n.cost[j] = n.unitC * prob
-			if s := alpha*n.vals[j] - mq.Price; s > 0 {
-				n.surp[j] = s
-				n.esur[j] = s * prob
-			}
-		} else {
-			n.surp[j] = curSurp[j]
-			n.cost[j] = curCost[j]
-			n.esur[j] = curESur[j]
-		}
-		pay += pj
-		cost += n.cost[j]
-		sur += n.esur[j]
-	}
-	n.revenue = pay
-	n.profit = pay - cost
-	n.surplus = sur
-	n.util = e.params.ProfitWeight*n.profit + (1-e.params.ProfitWeight)*n.surplus
+	e.settle(n, curPay, curSurp, curCost, curESur, mq.Price, mq.Feasible)
 	n.quote = pricing.Quote{Price: mq.Price, Revenue: mq.Revenue - mq.Baseline, Adopters: mq.Adopters}
 }
 

@@ -218,34 +218,7 @@ func (e *engine) evalItemset(items []int, singles []*node) (*node, float64) {
 		// consumer re-resolving at the chosen price.
 		n := materialize(sc)
 		n.unitC = obj.UnitCost
-		n.pay = make([]float64, m)
-		n.surp = make([]float64, m)
-		n.cost = make([]float64, m)
-		n.esur = make([]float64, m)
-		alpha := e.params.Model.Alpha()
-		var pay, cost, sur float64
-		for j := range n.ids {
-			pj, prob, switched := e.pr.ResolveSwitch(n.vals[j], sc.pay[j], sc.surp[j], mq.Price)
-			n.pay[j] = pj
-			if switched {
-				n.cost[j] = n.unitC * prob
-				if s := alpha*n.vals[j] - mq.Price; s > 0 {
-					n.surp[j] = s
-					n.esur[j] = s * prob
-				}
-			} else {
-				n.surp[j] = sc.surp[j]
-				n.cost[j] = sc.cost[j]
-				n.esur[j] = sc.esur[j]
-			}
-			pay += pj
-			cost += n.cost[j]
-			sur += n.esur[j]
-		}
-		n.revenue = pay
-		n.profit = pay - cost
-		n.surplus = sur
-		n.util = e.params.ProfitWeight*n.profit + (1-e.params.ProfitWeight)*n.surplus
+		e.settle(n, sc.pay[:m], sc.surp[:m], sc.cost[:m], sc.esur[:m], mq.Price, true)
 		n.quote = pricing.Quote{Price: mq.Price, Revenue: mq.Revenue - mq.Baseline, Adopters: mq.Adopters}
 		for _, i := range items {
 			n.comps = append(n.comps, singles[i].asBundle())

@@ -36,8 +36,8 @@ func (e *engine) greedy() (*Configuration, error) {
 
 	// version numbers invalidate heap entries when a node dies.
 	h := &mergeHeap{}
-	push := func(i, j int, merged *node, gain float64) {
-		heap.Push(h, mergeCand{u: i, v: j, merged: merged, gain: gain})
+	push := func(r pairResult) {
+		heap.Push(h, mergeCand{u: r.u, v: r.v, gain: r.gain})
 	}
 	alive := len(nodes)
 	// The run-to-end variant's alternative stopping condition (Sec. 5.3.2)
@@ -54,7 +54,7 @@ func (e *engine) greedy() (*Configuration, error) {
 		}
 	}
 	for _, r := range e.evalPairs(nodes, jobs, runToEnd) {
-		push(r.u, r.v, r.merged, r.gain)
+		push(r)
 	}
 	if err := e.canceled(); err != nil {
 		// A done context truncates evalPairs; an empty heap here would end
@@ -92,14 +92,15 @@ func (e *engine) greedy() (*Configuration, error) {
 		}
 		iteration++
 		a, bn := nodes[top.u], nodes[top.v]
+		merged := e.commit(a, bn)
 		a.dead = true
 		bn.dead = true
 		alive--
 		newIdx := len(nodes)
-		nodes = append(nodes, top.merged)
+		nodes = append(nodes, merged)
 		// The gain is measured in seller utility; the trace reports the
 		// revenue delta (identical under the default objective).
-		total += top.merged.revenue - a.revenue - bn.revenue
+		total += merged.revenue - a.revenue - bn.revenue
 		trace = append(trace, IterationStat{Iteration: iteration, Revenue: total, Elapsed: time.Since(start), Bundles: alive})
 		if runToEnd && total > bestTotal {
 			bestTotal = total
@@ -111,13 +112,13 @@ func (e *engine) greedy() (*Configuration, error) {
 		// once; every merge re-prices up to N pairs).
 		jobs = jobs[:0]
 		for i := 0; i < newIdx; i++ {
-			if nodes[i].dead || !e.mergeable(nodes[i], top.merged) {
+			if nodes[i].dead || !e.mergeable(nodes[i], merged) {
 				continue
 			}
 			jobs = append(jobs, pairJob{u: i, v: newIdx})
 		}
 		for _, r := range e.evalPairs(nodes, jobs, runToEnd) {
-			push(r.u, r.v, r.merged, r.gain)
+			push(r)
 		}
 	}
 	if err := e.canceled(); err != nil {
@@ -143,11 +144,11 @@ func (e *engine) greedy() (*Configuration, error) {
 	return cfg, nil
 }
 
-// mergeCand is a candidate merge with its revenue gain.
+// mergeCand is a candidate merge with its revenue gain; the merged node is
+// built only when the candidate is popped live.
 type mergeCand struct {
-	u, v   int
-	merged *node
-	gain   float64
+	u, v int
+	gain float64
 }
 
 // mergeHeap is a max-heap of merge candidates by gain.

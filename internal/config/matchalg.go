@@ -73,15 +73,11 @@ func (e *engine) matching() (*Configuration, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Collapse matched pairs. Matched-pair lookup goes through the
-		// candidate list since parallel edges cannot occur here.
+		// Collapse matched pairs, materializing only the merges the
+		// matching accepted.
 		mergedAny := false
 		next := nodes[:0:0]
 		taken := make([]bool, len(nodes))
-		byPair := make(map[[2]int]*node, len(cands))
-		for _, c := range cands {
-			byPair[[2]int{c.u, c.v}] = c.merged
-		}
 		for i, n := range nodes {
 			n.fresh = false
 			if taken[i] {
@@ -96,7 +92,7 @@ func (e *engine) matching() (*Configuration, error) {
 			if lo > hi {
 				lo, hi = hi, lo
 			}
-			m := byPair[[2]int{lo, hi}]
+			m := e.commit(nodes[lo], nodes[hi])
 			taken[i], taken[j] = true, true
 			next = append(next, m)
 			total += m.revenue - nodes[lo].revenue - nodes[hi].revenue

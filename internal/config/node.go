@@ -53,9 +53,10 @@ type node struct {
 // mergeScratch holds the reusable buffers one evaluation thread needs to
 // price a candidate merge without allocating: the merged item list, the
 // merged interested-consumer vector, and (mixed bundling) the combined
-// per-consumer market state of the two parents. A node is materialized from
-// the scratch only when the candidate survives the gain filter, so the
-// O(N²) losing candidates cost zero heap churn.
+// per-consumer market state of the two parents. Candidates are priced
+// entirely in the scratch; only an accepted merge is materialized into a
+// node (engine.commit), so the O(N²) candidates that lose or are never
+// taken cost zero heap churn.
 type mergeScratch struct {
 	items []int
 	ids   []int
@@ -109,6 +110,48 @@ func (e *engine) initState(n *node) {
 		cost += n.cost[j]
 		sur += n.esur[j]
 	}
+	e.setTotals(n, pay, cost, sur)
+}
+
+// settle commits a mixed-bundling node's per-consumer market state after
+// its bundle went on sale at price pb over the current state (curPay,
+// curSurp, curCost, curESur, aligned with n.ids): every consumer re-resolves
+// the switch rule PriceMixed priced with. An infeasible offer (feasible
+// false) is not on sale, so every consumer keeps their current state.
+func (e *engine) settle(n *node, curPay, curSurp, curCost, curESur []float64, pb float64, feasible bool) {
+	n.pay = make([]float64, len(n.ids))
+	n.surp = make([]float64, len(n.ids))
+	n.cost = make([]float64, len(n.ids))
+	n.esur = make([]float64, len(n.ids))
+	alpha := e.params.Model.Alpha()
+	var pay, cost, sur float64
+	for j := range n.ids {
+		pj, prob, switched := curPay[j], 0.0, false
+		if feasible {
+			pj, prob, switched = e.pr.ResolveSwitch(n.vals[j], curPay[j], curSurp[j], pb)
+		}
+		n.pay[j] = pj
+		if switched {
+			n.cost[j] = n.unitC * prob
+			if s := alpha*n.vals[j] - pb; s > 0 {
+				n.surp[j] = s
+				n.esur[j] = s * prob
+			}
+		} else {
+			n.surp[j] = curSurp[j]
+			n.cost[j] = curCost[j]
+			n.esur[j] = curESur[j]
+		}
+		pay += pj
+		cost += n.cost[j]
+		sur += n.esur[j]
+	}
+	e.setTotals(n, pay, cost, sur)
+}
+
+// setTotals records a node's expected revenue, profit, consumer surplus
+// and seller utility from its summed payments, costs and surpluses.
+func (e *engine) setTotals(n *node, pay, cost, sur float64) {
 	n.revenue = pay
 	n.profit = pay - cost
 	n.surplus = sur
@@ -141,63 +184,100 @@ func (e *engine) vectorScale(n *node) float64 {
 	return 1
 }
 
-// evalMerge prices the merge of a and b and returns the candidate merged
-// node along with the utility gain over keeping a and b as they are. The
-// returned node is fully formed but not yet inserted anywhere. A nil node
-// means the merge is infeasible or (unless keepAll) not gaining.
-func (e *engine) evalMerge(a, b *node, keepAll bool) (*node, float64) {
+// evalMerge prices the merge of a and b in the run's serial context; see
+// evalMergeWith.
+func (e *engine) evalMerge(a, b *node, keepAll bool) (pricing.UtilityQuote, float64, bool) {
 	return e.evalMergeWith(e.ctx, a, b, keepAll)
 }
 
-// evalMergeWith is evalMerge with an explicit worker context, so concurrent
-// evaluations each own their scratch (the shared Pricer is stateless). The
-// candidate is priced entirely in scratch; a node is allocated only when it
-// survives the gain filter (or keepAll is set, for the greedy run-to-end
-// variant that needs non-gaining candidates too).
-func (e *engine) evalMergeWith(ctx *workerCtx, a, b *node, keepAll bool) (*node, float64) {
+// evalMergeWith prices the merge of a and b with an explicit worker
+// context, so concurrent evaluations each own their scratch (the shared
+// Pricer is stateless). It returns the candidate's quote and its utility
+// gain over keeping a and b as they are; ok is false when the merge is
+// infeasible or (unless keepAll, for the greedy run-to-end variant that
+// needs non-gaining candidates too) not gaining. The candidate is priced
+// entirely in scratch and nothing is allocated; commit materializes the
+// merged node once the algorithm accepts the merge. Under mixed bundling
+// the combined state of a and b is left in the scratch for commit.
+//
+// The quote is the standalone UtilityQuote under pure bundling. Under mixed
+// bundling only its Quote part is set: the bundle price, the revenue the
+// bundle adds over its components, and its expected adopters.
+func (e *engine) evalMergeWith(ctx *workerCtx, a, b *node, keepAll bool) (q pricing.UtilityQuote, gain float64, ok bool) {
 	sc := ctx.sc
+	e.mergeVector(sc, a, b)
+	obj := e.objective(sc.items)
+	if e.params.Strategy == Pure {
+		uq := e.pr.PriceUtilityIn(ctx.psc, sc.vals, obj)
+		gain := uq.Utility - a.util - b.util
+		return uq, gain, keepAll || gain > minGain
+	}
+	// Mixed: price the new bundle against the combined current state of
+	// both subtrees (their offers are item-disjoint, so states add), within
+	// the paper's price window (max component price, sum of component
+	// prices).
+	combineState(sc, a, b)
+	lo := a.quote.Price
+	if b.quote.Price > lo {
+		lo = b.quote.Price
+	}
+	mq := e.pr.PriceMixedIn(ctx.psc, pricing.MixedOffer{
+		CurPay:      sc.pay,
+		CurSurplus:  sc.surp,
+		CurCost:     sc.cost,
+		CurESurplus: sc.esur,
+		WB:          sc.vals,
+		Lo:          lo,
+		Hi:          a.quote.Price + b.quote.Price,
+		BundleCost:  obj.UnitCost,
+		Obj:         pricing.Objective{ProfitWeight: e.params.ProfitWeight, UnitCost: obj.UnitCost},
+	})
+	delta := mq.Utility - mq.BaselineUtility
+	if !mq.Feasible || delta <= minGain {
+		return pricing.UtilityQuote{}, 0, false
+	}
+	return pricing.UtilityQuote{Quote: pricing.Quote{Price: mq.Price, Revenue: mq.Revenue - mq.Baseline, Adopters: mq.Adopters}}, delta, true
+}
+
+// commit materializes the accepted merge of a and b. It prices the merge
+// again in the run's serial scratch, which is deterministic and so yields
+// exactly the quote the candidate was accepted with, and builds the node
+// from the scratch: the merged vector, and under mixed bundling the state
+// of every consumer settled at the quoted price. Re-pricing one accepted
+// merge costs as much as one candidate; carrying each candidate's quote
+// instead would enlarge every candidate record.
+func (e *engine) commit(a, b *node) *node {
+	sc := e.ctx.sc
+	q, _, _ := e.evalMergeWith(e.ctx, a, b, true)
+	n := materialize(sc)
+	n.unitC = e.objective(n.items).UnitCost
+	n.quote = q.Quote
+	if e.params.Strategy == Pure {
+		n.revenue, n.profit, n.surplus, n.util = q.Revenue, q.Profit, q.Surplus, q.Utility
+		return n
+	}
+	e.settle(n, sc.pay, sc.surp, sc.cost, sc.esur, q.Price, true)
+	n.comps = append(n.comps, a.comps...)
+	n.comps = append(n.comps, b.comps...)
+	n.comps = append(n.comps, a.asBundle(), b.asBundle())
+	return n
+}
+
+// mergeVector builds the merged item list and interested-consumer vector of
+// a and b in sc.
+func (e *engine) mergeVector(sc *mergeScratch, a, b *node) {
 	sc.items = mergeItemsInto(sc.items, a.items, b.items)
 	if e.incremental {
 		sc.ids, sc.vals = e.exec.UnionVectors(e.reqCtx, a.ids, a.vals, e.vectorScale(a), b.ids, b.vals, e.vectorScale(b), sc.ids, sc.vals)
 	} else {
 		sc.ids, sc.vals = e.w.BundleVector(sc.items, e.params.Theta, sc.ids, sc.vals)
 	}
-	obj := e.objective(sc.items)
-	switch e.params.Strategy {
-	case Pure:
-		uq := e.pr.PriceUtilityIn(ctx.psc, sc.vals, obj)
-		gain := uq.Utility - a.util - b.util
-		if !keepAll && gain <= minGain {
-			return nil, gain
-		}
-		n := materialize(sc)
-		n.quote = uq.Quote
-		n.unitC = obj.UnitCost
-		n.revenue, n.profit, n.surplus, n.util = uq.Revenue, uq.Profit, uq.Surplus, uq.Utility
-		return n, gain
-	default:
-		return e.evalMergeMixed(ctx, obj.UnitCost, a, b)
-	}
 }
 
-// materialize copies a surviving scratch candidate into a fresh node; the
-// strategy-specific pricing state is filled in by the caller.
-func materialize(sc *mergeScratch) *node {
-	return &node{
-		items: append([]int(nil), sc.items...),
-		ids:   append([]int(nil), sc.ids...),
-		vals:  append([]float64(nil), sc.vals...),
-		fresh: true,
-	}
-}
-
-// evalMergeMixed prices the new bundle against the combined current state
-// of both subtrees (their offers are item-disjoint, so states add), within
-// the paper's price window (max component price, sum of component prices).
-// The combined state is built in one pass over the union ids directly from
-// both parents' aligned vectors into the scratch buffers.
-func (e *engine) evalMergeMixed(ctx *workerCtx, unitC float64, a, b *node) (*node, float64) {
-	sc := ctx.sc
+// combineState adds the per-consumer market states of a and b onto the
+// merged consumer axis sc.ids, in one pass directly from both parents'
+// aligned vectors into the scratch buffers.
+func combineState(sc *mergeScratch, a, b *node) {
 	m := len(sc.ids)
 	sc.pay = grow(sc.pay, m)
 	sc.surp = grow(sc.surp, m)
@@ -219,62 +299,17 @@ func (e *engine) evalMergeMixed(ctx *workerCtx, unitC float64, a, b *node) (*nod
 		}
 		sc.pay[j], sc.surp[j], sc.cost[j], sc.esur[j] = p0, s0, c0, e0
 	}
-	lo := a.quote.Price
-	if b.quote.Price > lo {
-		lo = b.quote.Price
+}
+
+// materialize copies the scratch candidate into a fresh node; the
+// strategy-specific pricing state is filled in by the caller.
+func materialize(sc *mergeScratch) *node {
+	return &node{
+		items: append([]int(nil), sc.items...),
+		ids:   append([]int(nil), sc.ids...),
+		vals:  append([]float64(nil), sc.vals...),
+		fresh: true,
 	}
-	mq := e.pr.PriceMixedIn(ctx.psc, pricing.MixedOffer{
-		CurPay:      sc.pay,
-		CurSurplus:  sc.surp,
-		CurCost:     sc.cost,
-		CurESurplus: sc.esur,
-		WB:          sc.vals,
-		Lo:          lo,
-		Hi:          a.quote.Price + b.quote.Price,
-		BundleCost:  unitC,
-		Obj:         pricing.Objective{ProfitWeight: e.params.ProfitWeight, UnitCost: unitC},
-	})
-	delta := mq.Utility - mq.BaselineUtility
-	if !mq.Feasible || delta <= minGain {
-		return nil, 0
-	}
-	// The candidate survives: materialize the node and commit the new
-	// state, every consumer re-resolving at the chosen price.
-	n := materialize(sc)
-	n.unitC = unitC
-	n.pay = make([]float64, m)
-	n.surp = make([]float64, m)
-	n.cost = make([]float64, m)
-	n.esur = make([]float64, m)
-	alpha := e.params.Model.Alpha()
-	var pay, cost, sur float64
-	for j := range n.ids {
-		pj, prob, switched := e.pr.ResolveSwitch(n.vals[j], sc.pay[j], sc.surp[j], mq.Price)
-		n.pay[j] = pj
-		if switched {
-			n.cost[j] = n.unitC * prob
-			if s := alpha*n.vals[j] - mq.Price; s > 0 {
-				n.surp[j] = s
-				n.esur[j] = s * prob
-			}
-		} else {
-			n.surp[j] = sc.surp[j]
-			n.cost[j] = sc.cost[j]
-			n.esur[j] = sc.esur[j]
-		}
-		pay += n.pay[j]
-		cost += n.cost[j]
-		sur += n.esur[j]
-	}
-	n.revenue = pay
-	n.profit = pay - cost
-	n.surplus = sur
-	n.util = e.params.ProfitWeight*n.profit + (1-e.params.ProfitWeight)*n.surplus
-	n.quote = pricing.Quote{Price: mq.Price, Revenue: mq.Revenue - mq.Baseline, Adopters: mq.Adopters}
-	n.comps = append(n.comps, a.comps...)
-	n.comps = append(n.comps, b.comps...)
-	n.comps = append(n.comps, a.asBundle(), b.asBundle())
-	return n, delta
 }
 
 // asBundle converts a node to its output Bundle form. For a mixed-bundling

@@ -27,11 +27,12 @@ type pairJob struct {
 	u, v int
 }
 
-// pairResult is the outcome of evaluating one candidate merge.
+// pairResult is the outcome of evaluating one candidate merge. The merged
+// node is built only if the merge is accepted (engine.commit).
 type pairResult struct {
-	u, v   int
-	merged *node
-	gain   float64
+	u, v int
+	gain float64
+	ok   bool
 }
 
 // workerCtx is one evaluation thread's private scratch: the merge buffers
@@ -67,8 +68,8 @@ func (e *engine) evalPairs(nodes []*node, jobs []pairJob, keepAll bool) []pairRe
 				// check, so partial results are never acted on.
 				return out
 			}
-			if merged, gain := e.evalMerge(nodes[j.u], nodes[j.v], keepAll); merged != nil {
-				out = append(out, pairResult{u: j.u, v: j.v, merged: merged, gain: gain})
+			if _, gain, ok := e.evalMerge(nodes[j.u], nodes[j.v], keepAll); ok {
+				out = append(out, pairResult{u: j.u, v: j.v, gain: gain, ok: true})
 			}
 		}
 		return out
@@ -98,8 +99,8 @@ func (e *engine) evalPairs(nodes []*node, jobs []pairJob, keepAll bool) []pairRe
 				}
 				for idx := start; idx < end; idx++ {
 					j := jobs[idx]
-					if merged, gain := e.evalMergeWith(ctx, nodes[j.u], nodes[j.v], keepAll); merged != nil {
-						results[idx] = pairResult{u: j.u, v: j.v, merged: merged, gain: gain}
+					if _, gain, ok := e.evalMergeWith(ctx, nodes[j.u], nodes[j.v], keepAll); ok {
+						results[idx] = pairResult{u: j.u, v: j.v, gain: gain, ok: true}
 					}
 				}
 			}
@@ -108,7 +109,7 @@ func (e *engine) evalPairs(nodes []*node, jobs []pairJob, keepAll bool) []pairRe
 	wg.Wait()
 	out := make([]pairResult, 0, len(jobs))
 	for _, r := range results {
-		if r.merged != nil {
+		if r.ok {
 			out = append(out, r)
 		}
 	}

@@ -7,14 +7,14 @@
 // price of a bundle with m interested consumers costs O(m + T) under the
 // deterministic step model, matching the paper's O(M) pricing claim. Under
 // the sigmoid model the package offers a bucketed O(m + T²) approximation
-// (default) and an exact O(m·T) evaluation.
+// (default) and an exact O(m·T) evaluation. A mixed-bundling offer costs
+// O(m + T) under the step model as well: consumers are filed under the
+// price level at which they switch to the bundle, with no sort.
 package pricing
 
 import (
-	"cmp"
 	"fmt"
 	"math/rand"
-	"slices"
 	"sync"
 
 	"bundling/internal/adoption"
@@ -45,7 +45,7 @@ type Pricer struct {
 }
 
 // Scratch holds the working buffers one pricing call needs: the WTP
-// histogram of the Sec. 4.2 price search and the event arrays of the
+// histogram of the Sec. 4.2 price search and the per-level sums of the
 // deterministic mixed-bundling sweep. A Scratch may be reused across any
 // number of calls but must not be shared between concurrent ones; solvers
 // typically pool one per worker.
@@ -54,12 +54,7 @@ type Scratch struct {
 	fcounts []float64
 	fsums   []float64
 	mids    []float64
-	// buffers of the deterministic PriceMixed sweep.
-	events []switchEvent
-	utilB  []float64
-	revB   []float64
-	surB   []float64
-	adB    []float64
+	levels  []mixedLevel // the deterministic PriceMixed sweep
 }
 
 // NewScratch returns a Scratch pre-sized for T price levels. Buffers grow on
@@ -79,10 +74,7 @@ func (sc *Scratch) ensure(levels int) {
 	sc.fcounts = make([]float64, levels+1)
 	sc.fsums = make([]float64, levels+1)
 	sc.mids = make([]float64, levels+1)
-	sc.utilB = make([]float64, levels+1)
-	sc.revB = make([]float64, levels+1)
-	sc.surB = make([]float64, levels+1)
-	sc.adB = make([]float64, levels+1)
+	sc.levels = make([]mixedLevel, levels+1)
 }
 
 // New returns a Pricer using T price levels. T must be positive.
@@ -354,34 +346,41 @@ func (p *Pricer) PriceMixedIn(sc *Scratch, off MixedOffer) MixedQuote {
 	return q
 }
 
-// switchEvent summarizes one consumer for the deterministic PriceMixed
-// sweep: tau is the bundle price below which the consumer switches
-// (effective bundle WTP minus current surplus), the rest is the state the
-// switch releases or retains.
-type switchEvent struct {
-	tau  float64 // α·wb − max(current surplus, 0): the switch threshold price
-	wb   float64 // raw bundle WTP (ResolveSwitch re-derives the rest)
-	ewb  float64 // α·wb
-	pay  float64 // current expected payment
-	surp float64 // current deterministic surplus
-	cost float64 // current expected serving cost
-	esur float64 // current expected consumer surplus
+// mixedLevel is one price level of the deterministic PriceMixed sweep.
+type mixedLevel struct {
+	pb float64 // the level's bundle price
+	// Sums over the consumers whose join level is this one: they switch
+	// at this price and at every lower level.
+	n, pay, cost, esur, ewb float64
+	// Net change from the consumers in the ε tie band of this level, each
+	// resolved individually with ResolveSwitch.
+	dRev, dCost, dSur, dAd float64
 }
 
-// priceMixedStep evaluates all T bundle-price levels in O(m·log m + m + T)
-// under the deterministic step model, replacing the O(m·T) per-level rescan
-// of offerOutcome. Under the step rule a consumer switches to the bundle
-// exactly when its price falls more than ε below their threshold
-// τ = α·wb − current surplus, so sweeping the levels top-down and advancing
-// a pointer over τ-sorted consumers maintains the switcher aggregates
-// incrementally. Consumers whose τ lies within the ε tie window of the
-// current level are resolved individually with ResolveSwitch, keeping the
-// result exactly faithful to the reference evaluation.
+// priceMixedStep evaluates all T bundle-price levels in O(m + T + B) under
+// the deterministic step model, where B counts (consumer, level) pairs in
+// the ε tie band (almost always zero), replacing the O(m·T) per-level
+// rescan of offerOutcome. Under the step rule a consumer switches to the
+// bundle exactly when its price lies more than 2ε below their threshold
+// τ = α·wb − current surplus. A counting pass therefore files each consumer
+// under their join level J, the highest level whose price p satisfies
+// τ > p + 2ε, and a top-down suffix sum over the levels yields the
+// switcher aggregates at every level. No sort is needed: J is estimated
+// from the grid spacing and settled with the same float comparisons the
+// grid itself uses, so the classification is exact. A consumer with
+// τ ≥ p − 2ε at levels above J sits in the ε tie band there; those levels
+// form a contiguous run from J+1 up, and each is resolved with
+// ResolveSwitch, keeping the result faithful to the reference evaluation
+// even when the grid spacing is below 4ε.
 func (p *Pricer) priceMixedStep(sc *Scratch, off MixedOffer, q MixedQuote, basePay, baseCost, baseSur float64) MixedQuote {
 	const eps = adoption.DefaultEpsilon
 	T := p.levels
 	alpha := p.model.Alpha()
-	ev := sc.events[:0]
+	lv := sc.levels[:T+1]
+	for t := range lv {
+		lv[t] = mixedLevel{pb: off.Lo + (off.Hi-off.Lo)*float64(t)/float64(T+1)}
+	}
+	scale := float64(T+1) / (off.Hi - off.Lo)
 	for j, wb := range off.WB {
 		ewb := alpha * wb
 		if ewb <= 0 {
@@ -391,73 +390,80 @@ func (p *Pricer) priceMixedStep(sc *Scratch, off MixedOffer, q MixedQuote, baseP
 		// zero: for surplus < 0 the binding ResolveSwitch constraint is
 		// bs ≥ -ε (price at most ε above the effective WTP), not the
 		// surplus comparison, so the switch boundary is ewb itself. The
-		// tie window below still sees the true surplus via ResolveSwitch.
+		// tie band below still sees the true surplus via ResolveSwitch.
 		surp := off.CurSurplus[j]
-		tauSurp := surp
-		if tauSurp < 0 {
-			tauSurp = 0
+		tau := ewb - max(surp, 0)
+		J := joinLevel(lv, tau, (tau-2*eps-off.Lo)*scale)
+		pay, cost, esur := off.CurPay[j], at0(off.CurCost, j), at0(off.CurESurplus, j)
+		if J > 0 {
+			l := &lv[J]
+			l.n++
+			l.pay += pay
+			l.cost += cost
+			l.esur += esur
+			l.ewb += ewb
 		}
-		ev = append(ev, switchEvent{
-			tau:  ewb - tauSurp,
-			wb:   wb,
-			ewb:  ewb,
-			pay:  off.CurPay[j],
-			surp: surp,
-			cost: at0(off.CurCost, j),
-			esur: at0(off.CurESurplus, j),
-		})
-	}
-	sc.events = ev
-	slices.SortFunc(ev, func(a, b switchEvent) int { return cmp.Compare(a.tau, b.tau) })
-	utilB, revB, surB, adB := sc.utilB[:T+1], sc.revB[:T+1], sc.surB[:T+1], sc.adB[:T+1]
-	// Aggregates over the definitely-switched suffix ev[ptr:] (τ well above
-	// the current price level). The 2ε-wide band around the level is kept
-	// out of the aggregates and delegated to ResolveSwitch per consumer, so
-	// the ε tie-break semantics match the reference path bit for bit.
-	ptr := len(ev)
-	var cnt, sumPay, sumCost, sumESur, sumEwb float64
-	for t := T; t >= 1; t-- {
-		pb := off.Lo + (off.Hi-off.Lo)*float64(t)/float64(T+1)
-		for ptr > 0 && ev[ptr-1].tau > pb+2*eps {
-			x := &ev[ptr-1]
-			cnt++
-			sumPay += x.pay
-			sumCost += x.cost
-			sumESur += x.esur
-			sumEwb += x.ewb
-			ptr--
-		}
-		rev := pb*cnt + (basePay - sumPay)
-		cost := off.BundleCost*cnt + (baseCost - sumCost)
-		sur := (sumEwb - pb*cnt) + (baseSur - sumESur)
-		adopters := cnt
-		for k := ptr - 1; k >= 0 && ev[k].tau >= pb-2*eps; k-- {
-			x := &ev[k]
-			pay, prob, switched := p.ResolveSwitch(x.wb, x.pay, x.surp, pb)
+		for t := J + 1; t <= T && tau >= lv[t].pb-2*eps; t++ {
+			l := &lv[t]
+			bpay, prob, switched := p.ResolveSwitch(wb, pay, surp, l.pb)
 			if switched {
-				rev += pay - x.pay
-				cost += off.BundleCost*prob - x.cost
-				sur -= x.esur
-				if s := x.ewb - pb; s > 0 {
-					sur += s * prob
+				l.dRev += bpay - pay
+				l.dCost += off.BundleCost*prob - cost
+				l.dSur -= esur
+				if s := ewb - l.pb; s > 0 {
+					l.dSur += s * prob
 				}
-				adopters += prob
+				l.dAd += prob
 			}
 		}
-		revB[t], surB[t], adB[t] = rev, sur, adopters
-		utilB[t] = off.Obj.ProfitWeight*(rev-cost) + (1-off.Obj.ProfitWeight)*sur
 	}
-	// Select ascending with a strict improvement test, mirroring the
-	// reference loop's first-maximum tie-break.
-	for t := 1; t <= T; t++ {
-		if utilB[t] > q.Utility {
-			q.Price = off.Lo + (off.Hi-off.Lo)*float64(t)/float64(T+1)
-			q.Revenue, q.Adopters = revB[t], adB[t]
-			q.Utility, q.Surplus = utilB[t], surB[t]
+	// Sweep the levels top-down, accumulating the definitely-switched
+	// suffix. The reference loop scans ascending and keeps the first
+	// strict improvement, so top-down a later (lower) level also wins a
+	// tie with the best found so far, but never a tie with the baseline.
+	var n, sumPay, sumCost, sumESur, sumEwb float64
+	for t := T; t >= 1; t-- {
+		l := &lv[t]
+		n += l.n
+		sumPay += l.pay
+		sumCost += l.cost
+		sumESur += l.esur
+		sumEwb += l.ewb
+		rev := l.pb*n + (basePay - sumPay) + l.dRev
+		cost := off.BundleCost*n + (baseCost - sumCost) + l.dCost
+		sur := (sumEwb - l.pb*n) + (baseSur - sumESur) + l.dSur
+		util := off.Obj.ProfitWeight*(rev-cost) + (1-off.Obj.ProfitWeight)*sur
+		if util > q.Utility || (q.Feasible && util == q.Utility) {
+			q.Price, q.Revenue, q.Adopters = l.pb, rev, n+l.dAd
+			q.Utility, q.Surplus = util, sur
 			q.Feasible = true
 		}
 	}
 	return q
+}
+
+// joinLevel returns the highest level t ≥ 1 of lv whose price satisfies
+// τ > p_t + 2ε, or 0 if none does. est is the float-space estimate of the
+// answer; it is clamped before the int conversion (it can be huge,
+// infinite or NaN) and then settled with the exact comparisons the level
+// walk would make, so the result never depends on the estimate's rounding.
+func joinLevel(lv []mixedLevel, tau, est float64) int {
+	const eps = adoption.DefaultEpsilon
+	T := len(lv) - 1
+	J := T
+	if est < float64(T) {
+		J = 0
+		if est > 0 {
+			J = int(est)
+		}
+	}
+	for J < T && tau > lv[J+1].pb+2*eps {
+		J++
+	}
+	for J > 0 && !(tau > lv[J].pb+2*eps) {
+		J--
+	}
+	return J
 }
 
 // offerOutcome evaluates the offer at bundle price pb: every consumer
