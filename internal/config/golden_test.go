@@ -23,7 +23,7 @@ type goldenConfig struct {
 }
 
 // TestGoldenConfigurations pins the answers of components, optimal2,
-// matching and greedy, pure and mixed, on a fixed generated corpus: total
+// matching, greedy and freqitemset, pure and mixed, on a fixed generated corpus: total
 // revenue, every bundle's items, price and revenue, and the retained
 // components. The equivalence suites run the same pricing kernel on both
 // sides, so only a pinned answer notices when a kernel rewrite changes a
@@ -48,7 +48,7 @@ func TestGoldenConfigurations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, a := range []Algorithm{ComponentsAlgorithm(), Optimal2Algorithm(), MatchingAlgorithm(), GreedyAlgorithm()} {
+		for _, a := range []Algorithm{ComponentsAlgorithm(), Optimal2Algorithm(), MatchingAlgorithm(), GreedyAlgorithm(), FreqItemsetAlgorithm(DefaultFreqItemsetOptions())} {
 			cfg, err := s.Solve(a)
 			if err != nil {
 				t.Fatal(err)
