@@ -71,6 +71,14 @@
 // skip shard construction and singleton pricing entirely (see the
 // Solver/* rows in BENCH_greedy.json).
 //
+// The frequent-itemset baseline mines maximal itemsets with an
+// allocation-free depth-first search over transaction bitmaps, and checks
+// maximality against a vertical index of the recorded sets (one slot
+// bitmap per item) instead of scanning them; its k ≥ 3 bundle vectors sum
+// into a dense per-stripe accumulator. On the benchmark's 200×60 corpus
+// mining is ~10× faster than the linear-scan miner, with the same
+// itemsets in the same order (pinned by a golden test in internal/fim).
+//
 // # Serving
 //
 // For multi-user traffic, the cmd/bundled daemon serves Solver sessions

@@ -6,17 +6,28 @@
 // MAFIA, and greedily assembles a bundle configuration from them. MAFIA is
 // closed-source-era C++; this package re-implements its essence: a
 // depth-first search over the itemset lattice with a vertical bitmap
-// representation, parent-equivalence pruning (PEP), and subsumption checks
-// against the maximal set collection. Maximal frequent itemsets are unique
-// given data and minimum support, so the baseline sees the same candidate
-// bundles MAFIA would produce.
+// representation and parent-equivalence pruning (PEP). Maximal frequent
+// itemsets are unique given data and minimum support, so the baseline sees
+// the same candidate bundles MAFIA would produce.
+//
+// Maximality is checked against a vertical index of the recorded sets: each
+// recorded set owns a slot, and each item a bitmap of the slots whose set
+// holds it. A set Q is subsumed when some live slot lies in the bitmaps of
+// all of Q's items, and the recorded subsets that a new maximal set M drops
+// are the live slots in none of the bitmaps of the items outside M. Both
+// are word-wise AND/OR scans that stop at the first deciding word, so a
+// check never walks the recorded sets one by one.
+//
+// The search allocates only what it returns. Transaction sets are bitmap
+// words carved from one buffer per search depth, and the itemset under
+// extension lives on one shared stack.
 package fim
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
-
-	"bundling/internal/bitset"
+	"math/bits"
+	"slices"
 )
 
 // Itemset is a mined itemset with its absolute support.
@@ -48,173 +59,297 @@ func MineMaximal(items int, transactions [][]int, cfg Config) ([]Itemset, error)
 	if cfg.MinSupport < 1 {
 		cfg.MinSupport = 1
 	}
-	m := &miner{cfg: cfg, items: items, nTrans: len(transactions)}
+	tw := (len(transactions) + 63) / 64
+	m := &miner{cfg: cfg, tw: tw}
 	// Vertical representation: bitmap of transactions per item.
-	m.tids = make([]*bitset.Set, items)
-	for i := range m.tids {
-		m.tids[i] = bitset.New(len(transactions))
-	}
+	m.tids = make([]uint64, items*tw)
 	for t, tx := range transactions {
 		for _, i := range tx {
 			if i < 0 || i >= items {
 				return nil, fmt.Errorf("fim: item %d outside universe [0,%d)", i, items)
 			}
-			m.tids[i].Add(t)
+			m.tids[i*tw+t/64] |= 1 << (t % 64)
 		}
 	}
 	// Frequent single items, ordered by ascending support (MAFIA's dynamic
 	// reordering heuristic: rarest-first keeps subtrees small).
-	type freq struct {
-		item, sup int
-	}
-	var f1 []freq
+	var f1 []cand
 	for i := 0; i < items; i++ {
-		if s := m.tids[i].Count(); s >= cfg.MinSupport {
-			f1 = append(f1, freq{i, s})
+		if s := popcount(m.tidset(i)); s >= cfg.MinSupport {
+			f1 = append(f1, cand{item: i, sup: s})
 		}
 	}
-	sort.Slice(f1, func(a, b int) bool {
-		if f1[a].sup != f1[b].sup {
-			return f1[a].sup < f1[b].sup
-		}
-		return f1[a].item < f1[b].item
-	})
-	order := make([]int, len(f1))
-	for i, f := range f1 {
-		order[i] = f.item
+	slices.SortFunc(f1, byRarity)
+	m.index = newSlotIndex(items, f1)
+	all := make([]uint64, tw)
+	for t := range transactions {
+		all[t/64] |= 1 << (t % 64)
 	}
-	all := bitset.New(len(transactions))
-	for t := 0; t < len(transactions); t++ {
-		all.Add(t)
+	// One frame per search depth; a path holds at most every frequent item.
+	m.frames = make([]frame, len(f1)+1)
+	m.dfs(0, all, len(transactions), f1)
+	return m.index.results(), nil
+}
+
+// cand is an extension item of a search node with its support under the
+// node's prefix; in a frame, its transaction set is
+// buf[slot*tw:(slot+1)*tw].
+type cand struct {
+	item, sup, slot int
+}
+
+// byRarity orders candidates by ascending support, then item id.
+func byRarity(a, b cand) int {
+	if c := cmp.Compare(a.sup, b.sup); c != 0 {
+		return c
 	}
-	m.dfs(nil, all, order)
-	return m.results, nil
+	return cmp.Compare(a.item, b.item)
+}
+
+// frame is one search depth's scratch: the node's surviving candidates and
+// their transaction sets. Siblings at a depth reuse it, and a node's
+// children read its candidates and sets while deeper frames are written.
+type frame struct {
+	cands []cand
+	buf   []uint64
 }
 
 type miner struct {
 	cfg     Config
-	items   int
-	nTrans  int
-	tids    []*bitset.Set
-	results []Itemset
-	// maximalMasks mirrors results as item bitsets for subsumption checks.
-	maximalMasks []*bitset.Set
-	stopped      bool
+	tw      int      // words per transaction set
+	tids    []uint64 // item i's transaction set: tids[i*tw:(i+1)*tw]
+	frames  []frame
+	prefix  []int // the itemset under extension, shared by every depth
+	index   *slotIndex
+	stopped bool
 }
 
-// dfs explores extensions of prefix (whose transaction set is tid) with the
-// ordered candidate extension items ext.
-func (m *miner) dfs(prefix []int, tid *bitset.Set, ext []int) {
+func (m *miner) tidset(i int) []uint64 { return m.tids[i*m.tw : (i+1)*m.tw] }
+
+// dfs explores extensions of the prefix, whose transaction set is tid with
+// sup members, by the ordered candidate extension items ext.
+func (m *miner) dfs(depth int, tid []uint64, sup int, ext []cand) {
 	if m.stopped {
 		return
 	}
-	if m.cfg.MaxSize > 0 && len(prefix) >= m.cfg.MaxSize {
-		m.record(prefix, tid.Count())
+	if m.cfg.MaxSize > 0 && len(m.prefix) >= m.cfg.MaxSize {
+		m.record(sup)
 		return
 	}
-	prefixSup := tid.Count()
+	base := len(m.prefix)
+	defer func() { m.prefix = m.prefix[:base] }()
 	// Compute supports of extensions; apply PEP: extensions whose tidset
 	// equals the prefix tidset always co-occur, fold them into the prefix.
-	type cand struct {
-		item int
-		tid  *bitset.Set
-		sup  int
-	}
-	var cands []cand
-	pep := append([]int(nil), prefix...)
-	for _, i := range ext {
-		sup := tid.IntersectionCount(m.tids[i])
-		if sup < m.cfg.MinSupport {
+	f := &m.frames[depth]
+	f.cands = f.cands[:0]
+	tw := m.tw
+	for _, e := range ext {
+		off := len(f.cands) * tw
+		if len(f.buf) < off+tw {
+			f.buf = append(f.buf, make([]uint64, tw)...)
+		}
+		s := intersect(f.buf[off:off+tw], tid, m.tidset(e.item))
+		if s < m.cfg.MinSupport {
 			continue
 		}
-		if sup == prefixSup && m.cfg.MaxSize == 0 {
-			// PEP: i occurs in every prefix transaction, so every maximal
-			// itemset extending the prefix contains i — fold it in. Only
-			// sound without a size cap: under a cap, capped subsets that
-			// avoid i (e.g. {prefix, j}) can still be maximal-within-cap
-			// and must be enumerated.
-			pep = append(pep, i)
+		if s == sup && m.cfg.MaxSize == 0 {
+			// PEP: the item occurs in every prefix transaction, so every
+			// maximal itemset extending the prefix contains it — fold it
+			// in. Only sound without a size cap: under a cap, capped
+			// subsets that avoid the item (e.g. {prefix, j}) can still be
+			// maximal-within-cap and must be enumerated.
+			m.prefix = append(m.prefix, e.item)
 			continue
 		}
-		t := tid.Clone()
-		t.IntersectWith(m.tids[i])
-		cands = append(cands, cand{item: i, tid: t, sup: sup})
+		f.cands = append(f.cands, cand{item: e.item, sup: s, slot: len(f.cands)})
 	}
-	prefix = pep
-	if m.cfg.MaxSize > 0 && len(prefix) >= m.cfg.MaxSize {
-		m.record(prefix, prefixSup)
-		return
-	}
-	if len(cands) == 0 {
-		if len(prefix) > 0 {
-			m.record(prefix, prefixSup)
+	if len(f.cands) == 0 {
+		if len(m.prefix) > 0 {
+			m.record(sup)
 		}
 		return
 	}
-	sort.Slice(cands, func(a, b int) bool {
-		if cands[a].sup != cands[b].sup {
-			return cands[a].sup < cands[b].sup
-		}
-		return cands[a].item < cands[b].item
-	})
+	slices.SortFunc(f.cands, byRarity)
 	// HUTMFI-style pruning: if prefix ∪ all candidates is already subsumed
 	// by a known maximal itemset, nothing new can be found below.
-	hut := append([]int(nil), prefix...)
-	for _, c := range cands {
-		hut = append(hut, c.item)
-	}
-	if m.subsumed(hut) {
+	if m.index.subsumed(m.prefix, f.cands) {
 		return
 	}
-	for ci, c := range cands {
-		child := append(append([]int(nil), prefix...), c.item)
-		rest := make([]int, 0, len(cands)-ci-1)
-		for _, c2 := range cands[ci+1:] {
-			rest = append(rest, c2.item)
-		}
-		m.dfs(child, c.tid, rest)
+	for ci := range f.cands {
+		c := f.cands[ci]
+		m.prefix = append(m.prefix, c.item)
+		m.dfs(depth+1, f.buf[c.slot*tw:(c.slot+1)*tw], c.sup, f.cands[ci+1:])
+		m.prefix = m.prefix[:len(m.prefix)-1]
 		if m.stopped {
 			return
 		}
 	}
 }
 
-// record adds the itemset to the maximal collection unless a superset is
-// already present; any recorded subsets of it are removed.
-func (m *miner) record(items []int, sup int) {
-	if m.subsumed(items) {
+// record adds the prefix, of support sup, to the maximal collection unless
+// a superset is already present; any recorded subsets of it are removed.
+func (m *miner) record(sup int) {
+	if m.index.subsumed(m.prefix, nil) {
 		return
 	}
-	mask := bitset.FromIndices(m.items, items...)
-	// Drop previously recorded subsets.
-	kept := m.results[:0]
-	keptMasks := m.maximalMasks[:0]
-	for i, r := range m.results {
-		if !m.maximalMasks[i].SubsetOf(mask) {
-			kept = append(kept, r)
-			keptMasks = append(keptMasks, m.maximalMasks[i])
-		}
-	}
-	m.results = kept
-	m.maximalMasks = keptMasks
-	sorted := append([]int(nil), items...)
-	sort.Ints(sorted)
-	m.results = append(m.results, Itemset{Items: sorted, Support: sup})
-	m.maximalMasks = append(m.maximalMasks, mask)
-	if m.cfg.MaxResults > 0 && len(m.results) >= m.cfg.MaxResults {
+	items := slices.Clone(m.prefix)
+	slices.Sort(items)
+	m.index.add(Itemset{Items: items, Support: sup})
+	if m.cfg.MaxResults > 0 && m.index.live >= m.cfg.MaxResults {
 		m.stopped = true
 	}
 }
 
-// subsumed reports whether items ⊆ some recorded maximal itemset.
-func (m *miner) subsumed(items []int) bool {
-	mask := bitset.FromIndices(m.items, items...)
-	for _, mm := range m.maximalMasks {
-		if mask.SubsetOf(mm) {
+// intersect writes a ∧ b into dst and returns its population count.
+func intersect(dst, a, b []uint64) int {
+	n := 0
+	for k := range dst {
+		x := a[k] & b[k]
+		dst[k] = x
+		n += bits.OnesCount64(x)
+	}
+	return n
+}
+
+func popcount(s []uint64) int {
+	n := 0
+	for _, x := range s {
+		n += bits.OnesCount64(x)
+	}
+	return n
+}
+
+// slotIndex is the recorded maximal collection. Slot s holds the s-th
+// recorded itemset; alive marks the slots not yet superseded, and cols holds
+// one slot bitmap per frequent item, marking the slots whose itemset
+// contains the item. Slots keep arrival order and are compacted when the
+// bitmaps fill and at the end, so the results come out in recording order.
+//
+// Columns are numbered in the frequent items' rarity order rather than by
+// item id, so the items along one search path have nearby bitmaps; on this
+// package's benchmarks that ran 1.2–2× faster than id order.
+type slotIndex struct {
+	col   []int // item → column, -1 for items no itemset can hold
+	items []int // column → item
+	sets  []Itemset
+	live  int      // live slots
+	alive []uint64 // live slot bitmap
+	cols  []uint64 // column c's slot bitmap: cols[c*sw:(c+1)*sw]
+	sw    int      // words per slot bitmap
+	inM   []bool   // per column, scratch of add
+}
+
+func newSlotIndex(items int, f1 []cand) *slotIndex {
+	x := &slotIndex{col: make([]int, items), items: make([]int, len(f1)), inM: make([]bool, len(f1))}
+	for i := range x.col {
+		x.col[i] = -1
+	}
+	for c, f := range f1 {
+		x.col[f.item] = c
+		x.items[c] = f.item
+	}
+	return x
+}
+
+// subsumed reports whether items ∪ cands ⊆ some live recorded itemset:
+// whether a word of alive ∧ the items' columns is non-zero.
+func (x *slotIndex) subsumed(items []int, cands []cand) bool {
+	nw := (len(x.sets) + 63) / 64
+	for w := 0; w < nw; w++ {
+		v := x.alive[w]
+		for _, i := range items {
+			if v == 0 {
+				break
+			}
+			v &= x.cols[x.col[i]*x.sw+w]
+		}
+		for _, c := range cands {
+			if v == 0 {
+				break
+			}
+			v &= x.cols[x.col[c.item]*x.sw+w]
+		}
+		if v != 0 {
 			return true
 		}
 	}
 	return false
+}
+
+// add records a maximal itemset in a new slot and retires the live slots
+// it subsumes: those in no column of an item outside it.
+func (x *slotIndex) add(is Itemset) {
+	for _, i := range is.Items {
+		x.inM[x.col[i]] = true
+	}
+	nw := (len(x.sets) + 63) / 64
+	for w := 0; w < nw; w++ {
+		v := x.alive[w]
+		for c := 0; c < len(x.items) && v != 0; c++ {
+			if !x.inM[c] {
+				v &^= x.cols[c*x.sw+w]
+			}
+		}
+		x.alive[w] &^= v
+		x.live -= bits.OnesCount64(v)
+	}
+	for _, i := range is.Items {
+		x.inM[x.col[i]] = false
+	}
+	if len(x.sets) == x.sw*64 {
+		x.makeRoom()
+	}
+	s := len(x.sets)
+	x.sets = append(x.sets, is)
+	x.set(s, is.Items)
+	x.live++
+}
+
+// set marks slot s live and in the columns of items.
+func (x *slotIndex) set(s int, items []int) {
+	bit := uint64(1) << (s % 64)
+	x.alive[s/64] |= bit
+	for _, i := range items {
+		x.cols[x.col[i]*x.sw+s/64] |= bit
+	}
+}
+
+// makeRoom frees slots when every slot is taken: it drops the retired
+// slots and, unless they were at least half, doubles the bitmaps.
+func (x *slotIndex) makeRoom() {
+	if x.sw == 0 || x.live*2 > len(x.sets) {
+		x.sw = max(1, 2*x.sw)
+	}
+	x.rebuild()
+}
+
+// rebuild renumbers the live slots densely, in slot order, into bitmaps of
+// sw words.
+func (x *slotIndex) rebuild() {
+	kept := x.sets[:0]
+	for s, is := range x.sets {
+		if x.alive[s/64]&(1<<(s%64)) != 0 {
+			kept = append(kept, is)
+		}
+	}
+	clear(x.sets[len(kept):])
+	x.sets = kept
+	if len(x.alive) != x.sw {
+		x.cols = make([]uint64, x.sw*len(x.items))
+		x.alive = make([]uint64, x.sw)
+	} else {
+		clear(x.cols)
+		clear(x.alive)
+	}
+	for s, is := range x.sets {
+		x.set(s, is.Items)
+	}
+}
+
+// results returns the live itemsets in recording order.
+func (x *slotIndex) results() []Itemset {
+	x.rebuild()
+	return x.sets
 }
 
 // Support computes the absolute support of an itemset directly from

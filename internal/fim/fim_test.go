@@ -226,3 +226,63 @@ func TestSupportOracle(t *testing.T) {
 		t.Errorf("Support(∅) = %d, want 3", got)
 	}
 }
+
+// TestSlotIndexAgainstLinearScan drives the vertical maximality index with
+// random sets and checks every subsumption answer, the retired subsets and
+// the final order against a linear scan of the recorded collection, through
+// many bitmap growths and compactions.
+func TestSlotIndexAgainstLinearScan(t *testing.T) {
+	const items = 10
+	f1 := make([]cand, items)
+	for i := range f1 {
+		f1[i] = cand{item: i}
+	}
+	subset := func(a, b []int) bool { return contains(b, a) }
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		x := newSlotIndex(items, f1)
+		var model [][]int
+		adds := 0
+		for step := 0; step < 3000; step++ {
+			q := rng.Perm(items)[:1+rng.Intn(5)]
+			sort.Ints(q)
+			want := false
+			for _, r := range model {
+				if subset(q, r) {
+					want = true
+					break
+				}
+			}
+			if got := x.subsumed(q, nil); got != want {
+				t.Fatalf("seed %d step %d: subsumed(%v) = %v, linear scan %v", seed, step, q, got, want)
+			}
+			if want {
+				continue
+			}
+			kept := model[:0]
+			for _, r := range model {
+				if !subset(r, q) {
+					kept = append(kept, r)
+				}
+			}
+			model = append(kept, q)
+			x.add(Itemset{Items: q})
+			adds++
+			if x.live != len(model) {
+				t.Fatalf("seed %d step %d: %d live slots, linear scan %d", seed, step, x.live, len(model))
+			}
+		}
+		if x.sw*64 >= adds {
+			t.Fatalf("seed %d: %d adds fit %d-word bitmaps without compaction", seed, adds, x.sw)
+		}
+		got := x.results()
+		if len(got) != len(model) {
+			t.Fatalf("seed %d: %d results, linear scan %d", seed, len(got), len(model))
+		}
+		for k := range model {
+			if key(got[k].Items) != key(model[k]) {
+				t.Fatalf("seed %d: result %d = %v, linear scan %v", seed, k, got[k].Items, model[k])
+			}
+		}
+	}
+}

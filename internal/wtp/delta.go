@@ -3,16 +3,18 @@ package wtp
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
 // This file implements delta upserts: batched single-cell mutations applied
 // copy-on-write to an immutable base snapshot. WithDelta derives a new Matrix
 // sharing every untouched row and posting list with its parent;
-// Shard.ApplyDelta rebuilds only the stripes whose consumers are mutated; and
-// SpanStore.ApplyDelta patches a worker's span replica in place of a full
-// re-feed. All three produce state byte-identical in layout to a from-scratch
-// rebuild of the mutated matrix, which is what the differential tests assert.
+// Shard.ApplyDelta rebuilds only the mutated items' segments of the stripes
+// whose consumers are mutated; and SpanStore.ApplyDelta patches a worker's
+// span replica in place of a full re-feed. All three produce state with the
+// same contents, segment by segment, as a from-scratch rebuild of the
+// mutated matrix, which is what the differential tests assert.
 
 // Cell is one mutation of a delta upsert: set consumer Consumer's WTP for
 // item Item to Value, or — when Delete is set — remove the cell outright.
@@ -113,32 +115,18 @@ func deltaPatches(cells []Cell, stripeSize int) map[int]stripePatch {
 	return out
 }
 
-// patchStripe merges one stripe's columnar postings with a patch, returning a
-// freshly built stripe. Old and patch entries are both ascending per item, so
-// each item segment is a two-pointer merge; a patch value of 0 removes the
-// consumer from the segment. The layout matches a from-scratch Shard build
-// exactly.
-func patchStripe(st *Stripe, items int, patch stripePatch) Stripe {
-	extra := 0
-	for _, es := range patch {
-		extra += len(es)
-	}
-	ns := Stripe{
-		lo:   st.lo,
-		hi:   st.hi,
-		offs: make([]int32, items+1),
-	}
-	ids := make([]int32, 0, len(st.ids)+extra)
-	vals := make([]float64, 0, len(st.vals)+extra)
-	for i := 0; i < items; i++ {
-		ns.offs[i] = int32(len(ids))
+// patchStripe returns a copy of the stripe with the patch applied. Only the
+// touched items' segments are rebuilt; every other segment is shared with
+// the receiver. Old and patch entries are both ascending per item, so each
+// rebuilt segment is a two-pointer merge; a patch value of 0 removes the
+// consumer from the segment. Segment contents match a from-scratch Shard
+// build exactly.
+func patchStripe(st *Stripe, patch stripePatch) Stripe {
+	ns := Stripe{lo: st.lo, hi: st.hi, segs: slices.Clone(st.segs), entries: st.entries}
+	for i, p := range patch {
 		oldIDs, oldVals := st.Item(i)
-		p := patch[i]
-		if len(p) == 0 {
-			ids = append(ids, oldIDs...)
-			vals = append(vals, oldVals...)
-			continue
-		}
+		ids := make([]int32, 0, len(oldIDs)+len(p))
+		vals := make([]float64, 0, len(oldIDs)+len(p))
 		k, l := 0, 0
 		for k < len(oldIDs) && l < len(p) {
 			switch {
@@ -161,25 +149,23 @@ func patchStripe(st *Stripe, items int, patch stripePatch) Stripe {
 				l++
 			}
 		}
-		for ; k < len(oldIDs); k++ {
-			ids = append(ids, oldIDs[k])
-			vals = append(vals, oldVals[k])
-		}
+		ids = append(ids, oldIDs[k:]...)
+		vals = append(vals, oldVals[k:]...)
 		for ; l < len(p); l++ {
 			if p[l].Value > 0 {
 				ids = append(ids, int32(p[l].Consumer))
 				vals = append(vals, p[l].Value)
 			}
 		}
+		ns.segs[i] = segment{ids: ids, vals: vals}
+		ns.entries += len(ids) - len(oldIDs)
 	}
-	ns.offs[items] = int32(len(ids))
-	ns.ids, ns.vals = ids, vals
 	return ns
 }
 
 // ApplyDelta derives the shard of the mutated matrix from this shard,
-// rebuilding only the stripes whose consumers appear in the delta and sharing
-// every other stripe's columnar arrays with the receiver. The mutated matrix
+// rebuilding only the segments of the items and stripes the delta touches
+// and sharing every other segment with the receiver. The mutated matrix
 // must come from WithDelta(cells) on this shard's matrix — the new shard
 // snapshots its version. The receiver is untouched and stays valid for its
 // own matrix.
@@ -198,7 +184,7 @@ func (sh *Shard) ApplyDelta(nw *Matrix, cells []Cell) (*Shard, error) {
 		stripes: append([]Stripe(nil), sh.stripes...),
 	}
 	for s, patch := range deltaPatches(cells, sh.size) {
-		ns.stripes[s] = patchStripe(&sh.stripes[s], nw.n, patch)
+		ns.stripes[s] = patchStripe(&sh.stripes[s], patch)
 	}
 	return ns, nil
 }
@@ -228,7 +214,7 @@ func (sp *SpanStore) ApplyDelta(cells []Cell, version uint64) (*SpanStore, error
 	}
 	for s, patch := range deltaPatches(cells, sp.stripeSize) {
 		k := s - sp.start
-		ns.stripes[k] = patchStripe(&sp.stripes[k], sp.items, patch)
+		ns.stripes[k] = patchStripe(&sp.stripes[k], patch)
 	}
 	return ns, nil
 }

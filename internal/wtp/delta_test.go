@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -93,34 +94,42 @@ func mustEqualMatrices(t *testing.T, got, want *Matrix) {
 	}
 }
 
-// mustEqualShards asserts two shards produce identical stripes, offsets
-// included, so delta-patched stripes are layout-identical to a rebuild.
+// mustEqualShards asserts two shards produce identical stripes, segment by
+// segment, so delta-patched stripes hold exactly what a rebuild holds.
 func mustEqualShards(t *testing.T, got, want *Shard) {
 	t.Helper()
 	if got.Stripes() != want.Stripes() || got.StripeSize() != want.StripeSize() {
 		t.Fatalf("shard layout %d stripes × %d, want %d × %d", got.Stripes(), got.StripeSize(), want.Stripes(), want.StripeSize())
 	}
 	for s := 0; s < want.Stripes(); s++ {
-		gs, ws := got.Stripe(s), want.Stripe(s)
-		glo, ghi := gs.Bounds()
-		wlo, whi := ws.Bounds()
-		if glo != wlo || ghi != whi {
-			t.Fatalf("stripe %d bounds [%d,%d), want [%d,%d)", s, glo, ghi, wlo, whi)
+		mustEqualStripes(t, fmt.Sprintf("stripe %d", s), got.Stripe(s), want.Stripe(s))
+	}
+}
+
+// mustEqualStripes asserts two stripes have the same bounds, entry count and
+// per-item segments, entry for entry.
+func mustEqualStripes(t *testing.T, label string, gs, ws *Stripe) {
+	t.Helper()
+	glo, ghi := gs.Bounds()
+	wlo, whi := ws.Bounds()
+	if glo != wlo || ghi != whi {
+		t.Fatalf("%s bounds [%d,%d), want [%d,%d)", label, glo, ghi, wlo, whi)
+	}
+	if len(gs.segs) != len(ws.segs) {
+		t.Fatalf("%s has %d item segments, want %d", label, len(gs.segs), len(ws.segs))
+	}
+	if gs.Entries() != ws.Entries() {
+		t.Fatalf("%s entries %d, want %d", label, gs.Entries(), ws.Entries())
+	}
+	for i := range ws.segs {
+		gIDs, gVals := gs.Item(i)
+		wIDs, wVals := ws.Item(i)
+		if len(gIDs) != len(wIDs) || len(gVals) != len(wIDs) {
+			t.Fatalf("%s item %d segment has %d ids and %d values, want %d", label, i, len(gIDs), len(gVals), len(wIDs))
 		}
-		if len(gs.offs) != len(ws.offs) {
-			t.Fatalf("stripe %d offs len %d, want %d", s, len(gs.offs), len(ws.offs))
-		}
-		for i := range ws.offs {
-			if gs.offs[i] != ws.offs[i] {
-				t.Fatalf("stripe %d offs[%d] = %d, want %d", s, i, gs.offs[i], ws.offs[i])
-			}
-		}
-		if len(gs.ids) != len(ws.ids) {
-			t.Fatalf("stripe %d ids len %d, want %d", s, len(gs.ids), len(ws.ids))
-		}
-		for j := range ws.ids {
-			if gs.ids[j] != ws.ids[j] || gs.vals[j] != ws.vals[j] {
-				t.Fatalf("stripe %d entry %d = (%d,%g), want (%d,%g)", s, j, gs.ids[j], gs.vals[j], ws.ids[j], ws.vals[j])
+		for j := range wIDs {
+			if gIDs[j] != wIDs[j] || gVals[j] != wVals[j] {
+				t.Fatalf("%s item %d entry %d = (%d,%g), want (%d,%g)", label, i, j, gIDs[j], gVals[j], wIDs[j], wVals[j])
 			}
 		}
 	}
@@ -189,18 +198,11 @@ func TestWithDeltaMatchesRebuild(t *testing.T) {
 					if nsp.Entries() != wantSp.Entries() {
 						t.Fatalf("round %d span %d entries %d, want %d", round, si, nsp.Entries(), wantSp.Entries())
 					}
+					if len(nsp.stripes) != len(wantSp.stripes) {
+						t.Fatalf("round %d span %d has %d stripes, want %d", round, si, len(nsp.stripes), len(wantSp.stripes))
+					}
 					for k := range wantSp.stripes {
-						g, w := &nsp.stripes[k], &wantSp.stripes[k]
-						for i := range w.offs {
-							if g.offs[i] != w.offs[i] {
-								t.Fatalf("round %d span %d stripe %d offs[%d] = %d, want %d", round, si, k, i, g.offs[i], w.offs[i])
-							}
-						}
-						for j := range w.ids {
-							if g.ids[j] != w.ids[j] || g.vals[j] != w.vals[j] {
-								t.Fatalf("round %d span %d stripe %d entry %d mismatch", round, si, k, j)
-							}
-						}
+						mustEqualStripes(t, fmt.Sprintf("round %d span %d stripe %d", round, si, k), &nsp.stripes[k], &wantSp.stripes[k])
 					}
 					if si == 0 {
 						sp1 = nsp
@@ -353,4 +355,77 @@ func TestDeleteTombstone(t *testing.T) {
 			t.Fatal("deleted cell present in span store")
 		}
 	}
+}
+
+// TestDeltaBytesIndependentOfEntries asserts a 1-cell delta copies only the
+// touched item's segment: the bytes Shard.ApplyDelta and
+// SpanStore.ApplyDelta allocate are the same on a sparse matrix and on a
+// dense one whose touched item holds the same postings.
+func TestDeltaBytesIndependentOfEntries(t *testing.T) {
+	const m, n = 2048, 64
+	build := func(density float64) *Matrix {
+		rng := rand.New(rand.NewSource(5))
+		w := MustNew(m, n)
+		for u := 0; u < m; u++ {
+			if u%4 == 0 {
+				w.MustSet(u, 0, 1+float64(u%7))
+			}
+			for i := 1; i < n; i++ {
+				if rng.Float64() < density {
+					w.MustSet(u, i, 0.5+rng.Float64()*49.5)
+				}
+			}
+		}
+		return w
+	}
+	cells := []Cell{{Consumer: 8, Item: 0, Value: 3.5}}
+	measure := func(w *Matrix) (shardBytes, spanBytes uint64) {
+		sh := w.Shard(0)
+		nw, err := w.WithDelta(cells)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sp, err := sh.Span(0, 1).Store()
+		if err != nil {
+			t.Fatal(err)
+		}
+		shardBytes = bytesPerRun(50, func() {
+			if _, err := sh.ApplyDelta(nw, cells); err != nil {
+				t.Fatal(err)
+			}
+		})
+		spanBytes = bytesPerRun(50, func() {
+			if _, err := sp.ApplyDelta(cells, nw.Version()); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return shardBytes, spanBytes
+	}
+	sparse, dense := build(0.01), build(0.9)
+	if sparse.Entries()*20 > dense.Entries() {
+		t.Fatalf("dense matrix has %d entries, sparse %d: want a 20× spread", dense.Entries(), sparse.Entries())
+	}
+	sShard, sSpan := measure(sparse)
+	dShard, dSpan := measure(dense)
+	// A stripe copy of the dense matrix would be ~700 KB; allow only noise.
+	const slack = 256
+	if dShard > sShard+slack {
+		t.Errorf("Shard.ApplyDelta: %d bytes on %d entries, %d on %d", dShard, dense.Entries(), sShard, sparse.Entries())
+	}
+	if dSpan > sSpan+slack {
+		t.Errorf("SpanStore.ApplyDelta: %d bytes on %d entries, %d on %d", dSpan, dense.Entries(), sSpan, sparse.Entries())
+	}
+}
+
+// bytesPerRun returns the heap bytes f allocates, averaged over runs.
+func bytesPerRun(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
 }

@@ -58,16 +58,19 @@ func (sh *Shard) Span(s0, s1 int) *SpanDoc {
 	n := sh.w.n
 	var entries int
 	for s := s0; s < s1; s++ {
-		entries += len(sh.stripes[s].ids)
+		entries += sh.stripes[s].entries
 	}
 	d.Offs = make([]int32, 0, (s1-s0)*(n+1))
 	d.IDs = make([]int32, 0, entries)
 	d.Vals = make([]float64, 0, entries)
 	for s := s0; s < s1; s++ {
-		st := &sh.stripes[s]
-		d.Offs = append(d.Offs, st.offs...)
-		d.IDs = append(d.IDs, st.ids...)
-		d.Vals = append(d.Vals, st.vals...)
+		base := len(d.IDs)
+		for _, seg := range sh.stripes[s].segs {
+			d.Offs = append(d.Offs, int32(len(d.IDs)-base))
+			d.IDs = append(d.IDs, seg.ids...)
+			d.Vals = append(d.Vals, seg.vals...)
+		}
+		d.Offs = append(d.Offs, int32(len(d.IDs)-base))
 	}
 	return d
 }
@@ -90,6 +93,11 @@ type SpanStore struct {
 func (d *SpanDoc) Store() (*SpanStore, error) {
 	if d.Consumers < 0 || d.Items < 0 || d.StripeSize <= 0 {
 		return nil, fmt.Errorf("wtp: span doc has invalid layout %d×%d stripe %d", d.Consumers, d.Items, d.StripeSize)
+	}
+	if d.Items > 0 && d.Consumers > maxDenseCells/d.Items {
+		// The matrix a real span is cut from obeys New's bound; a stripe
+		// wider than it would size the dense bundle-vector scratch.
+		return nil, fmt.Errorf("wtp: span doc %d×%d exceeds %d dense cells", d.Consumers, d.Items, maxDenseCells)
 	}
 	if d.Start < 0 || d.End < d.Start {
 		return nil, fmt.Errorf("wtp: span doc range [%d,%d) invalid", d.Start, d.End)
@@ -117,26 +125,27 @@ func (d *SpanDoc) Store() (*SpanStore, error) {
 		if st.hi > d.Consumers {
 			st.hi = d.Consumers
 		}
-		st.offs = d.Offs[k*(d.Items+1) : (k+1)*(d.Items+1)]
-		seg := int(st.offs[d.Items])
+		offs := d.Offs[k*(d.Items+1) : (k+1)*(d.Items+1)]
+		seg := int(offs[d.Items])
 		if seg < 0 || base+seg > len(d.IDs) {
 			return nil, fmt.Errorf("wtp: span doc stripe %d overruns its postings", d.Start+k)
 		}
 		for i := 0; i < d.Items; i++ {
-			if st.offs[i] < 0 || st.offs[i] > st.offs[i+1] {
+			if offs[i] < 0 || offs[i] > offs[i+1] {
 				return nil, fmt.Errorf("wtp: span doc stripe %d has non-monotonic offsets", d.Start+k)
 			}
 		}
-		st.ids = d.IDs[base : base+seg]
-		st.vals = d.Vals[base : base+seg]
-		for j, id := range st.ids {
+		ids := d.IDs[base : base+seg]
+		vals := d.Vals[base : base+seg]
+		for j, id := range ids {
 			if int(id) < st.lo || int(id) >= st.hi {
 				return nil, fmt.Errorf("wtp: span doc stripe %d lists consumer %d outside [%d,%d)", d.Start+k, id, st.lo, st.hi)
 			}
-			if st.vals[j] < 0 {
-				return nil, fmt.Errorf("wtp: span doc has negative WTP %g", st.vals[j])
+			if vals[j] < 0 {
+				return nil, fmt.Errorf("wtp: span doc has negative WTP %g", vals[j])
 			}
 		}
+		st.cut(offs, ids, vals)
 		base += seg
 	}
 	if base != len(d.IDs) {
@@ -167,7 +176,7 @@ func (sp *SpanStore) StripeRange() (start, end int) { return sp.start, sp.start 
 func (sp *SpanStore) Entries() int {
 	var n int
 	for i := range sp.stripes {
-		n += len(sp.stripes[i].ids)
+		n += sp.stripes[i].entries
 	}
 	return n
 }

@@ -129,6 +129,7 @@ func TestSpanDocValidation(t *testing.T) {
 		"ids/vals skew":   func(d *SpanDoc) { d.Vals = d.Vals[:len(d.Vals)-1] },
 		"consumer range":  func(d *SpanDoc) { d.IDs[0] = int32(d.Consumers + 5) },
 		"negative wtp":    func(d *SpanDoc) { d.Vals[0] = -1 },
+		"huge matrix":     func(d *SpanDoc) { d.Consumers = maxDenseCells/d.Items + 1 },
 	}
 	for name, corrupt := range cases {
 		d := sh.Span(0, sh.Stripes())

@@ -2,6 +2,7 @@ package wtp
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 )
@@ -12,17 +13,24 @@ import (
 const DefaultStripeSize = 1024
 
 // Stripe is one fixed-size consumer range of a Shard. Its postings are
-// stored columnar (structure-of-arrays): one ids array and one aligned vals
-// array shared by all items, with per-item segment offsets. Compared to the
-// Matrix's []Entry rows this halves the bytes touched by a consumer-id scan
-// and keeps a stripe's working set contiguous, so per-stripe aggregation is
-// cache-local and independent of every other stripe — the unit of work a
-// scheduler can hand to a worker goroutine or, eventually, another machine.
+// stored columnar (structure-of-arrays): per item, one segment of ascending
+// consumer ids and one aligned segment of values. Compared to the Matrix's
+// []Entry rows this halves the bytes touched by a consumer-id scan, and a
+// freshly built stripe cuts all its segments from one contiguous pair of
+// arrays, so per-stripe aggregation is cache-local and independent of every
+// other stripe — the unit of work a scheduler can hand to a worker
+// goroutine or, eventually, another machine. Segments are immutable and
+// shared: a delta replaces only the segments of the items it touches.
 type Stripe struct {
-	lo, hi int       // consumer range [lo, hi)
-	offs   []int32   // per item i: segment ids[offs[i]:offs[i+1]]
-	ids    []int32   // consumer ids, ascending within each item segment
-	vals   []float64 // WTP values aligned with ids
+	lo, hi  int       // consumer range [lo, hi)
+	segs    []segment // per item
+	entries int       // total entries over all segments
+}
+
+// segment is one item's postings within a stripe.
+type segment struct {
+	ids  []int32   // consumer ids, ascending
+	vals []float64 // WTP values aligned with ids
 }
 
 // Bounds returns the stripe's consumer range [lo, hi).
@@ -32,12 +40,24 @@ func (st *Stripe) Bounds() (lo, hi int) { return st.lo, st.hi }
 // consumers of this stripe with non-zero WTP for i (ascending) and their
 // values. The slices must not be modified.
 func (st *Stripe) Item(i int) ([]int32, []float64) {
-	a, b := st.offs[i], st.offs[i+1]
-	return st.ids[a:b], st.vals[a:b]
+	return st.segs[i].ids, st.segs[i].vals
 }
 
 // Entries returns the total number of non-zero entries in the stripe.
-func (st *Stripe) Entries() int { return len(st.ids) }
+func (st *Stripe) Entries() int { return st.entries }
+
+// cut points the stripe's segments into ids and vals at the per-item
+// offsets offs (len items+1). Each segment's capacity ends at its length,
+// so no append through one can reach its neighbour.
+func (st *Stripe) cut(offs []int32, ids []int32, vals []float64) {
+	n := len(offs) - 1
+	st.segs = make([]segment, n)
+	for i := 0; i < n; i++ {
+		a, b := offs[i], offs[i+1]
+		st.segs[i] = segment{ids: ids[a:b:b], vals: vals[a:b:b]}
+	}
+	st.entries = len(ids)
+}
 
 // Shard is an immutable striped snapshot of a Matrix: the consumer axis cut
 // into fixed-size stripes, each holding columnar per-stripe postings.
@@ -79,10 +99,10 @@ func (w *Matrix) Shard(stripeSize int) *Shard {
 		}
 		st := &sh.stripes[s]
 		st.lo, st.hi = lo, hi
-		st.offs = make([]int32, w.n+1)
+		offs := make([]int32, w.n+1)
 		var total int
 		for i := 0; i < w.n; i++ {
-			st.offs[i] = int32(total)
+			offs[i] = int32(total)
 			p := w.postings[i]
 			c := cursor[i]
 			for c < len(p) && p[c].Consumer < hi {
@@ -91,19 +111,20 @@ func (w *Matrix) Shard(stripeSize int) *Shard {
 			total += c - cursor[i]
 			cursor[i] = c
 		}
-		st.offs[w.n] = int32(total)
-		st.ids = make([]int32, total)
-		st.vals = make([]float64, total)
+		offs[w.n] = int32(total)
+		ids := make([]int32, total)
+		vals := make([]float64, total)
 		// Second pass fills the columnar arrays; walk backwards through the
 		// advanced cursors via the recorded offsets.
 		for i := 0; i < w.n; i++ {
-			seg := w.postings[i][cursor[i]-int(st.offs[i+1]-st.offs[i]) : cursor[i]]
-			base := int(st.offs[i])
+			seg := w.postings[i][cursor[i]-int(offs[i+1]-offs[i]) : cursor[i]]
+			base := int(offs[i])
 			for k, e := range seg {
-				st.ids[base+k] = int32(e.Consumer)
-				st.vals[base+k] = e.Value
+				ids[base+k] = int32(e.Consumer)
+				vals[base+k] = e.Value
 			}
 		}
+		st.cut(offs, ids, vals)
 	}
 	return sh
 }
@@ -140,8 +161,11 @@ func (sh *Shard) check() {
 // consumer with non-zero WTP for at least one item of the bundle, the
 // consumer's Eq. 1 bundle WTP, as parallel ascending (ids, vals) slices.
 // Each stripe is aggregated independently from its columnar segments and the
-// per-stripe results concatenate in consumer order. The dst slices are
-// reused if they have capacity.
+// per-stripe results concatenate in consumer order. For three or more items
+// a stripe sums each consumer's values in item order, so results agree with
+// Matrix.BundleVector's heap merge within rounding, not bit for bit. The dst
+// slices are reused if they have capacity; a call into dst of sufficient
+// capacity allocates nothing.
 func (sh *Shard) BundleVector(items []int, theta float64, dstIDs []int, dstVals []float64) ([]int, []float64) {
 	sh.check()
 	dstIDs = dstIDs[:0]
@@ -207,66 +231,54 @@ func (st *Stripe) appendBundleVector(items []int, scale float64, dstIDs []int, d
 		}
 		return dstIDs, dstVals
 	}
-	// k ≥ 3: heap merge over the stripe's columnar segments, the same
-	// tournament as Matrix.BundleVector but confined to one stripe's
-	// cache-resident arrays.
-	h := make([]stripeCursor, 0, len(items))
+	// k ≥ 3: accumulate densely over the stripe's consumer range, adding
+	// values in item order, then emit the touched consumers in ascending
+	// order, resetting the scratch as they go.
+	sc := denseScratch(st.hi - st.lo)
 	for _, i := range items {
 		ids, vals := st.Item(i)
-		if len(ids) > 0 {
-			h = append(h, stripeCursor{ids: ids, vals: vals})
+		for k, id := range ids {
+			j := int(id) - st.lo
+			sc.acc[j] += vals[k]
+			sc.touched[j/64] |= 1 << (j % 64)
 		}
 	}
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		siftDownStripe(h, i)
-	}
-	for len(h) > 0 {
-		u := h[0].ids[h[0].pos]
-		var sum float64
-		for len(h) > 0 && h[0].ids[h[0].pos] == u {
-			sum += h[0].vals[h[0].pos]
-			h[0].pos++
-			if h[0].pos == len(h[0].ids) {
-				h[0] = h[len(h)-1]
-				h = h[:len(h)-1]
+	for w, word := range sc.touched {
+		for word != 0 {
+			j := w*64 + bits.TrailingZeros64(word)
+			word &= word - 1
+			if v := sc.acc[j] * scale; v > 0 {
+				dstIDs = append(dstIDs, st.lo+j)
+				dstVals = append(dstVals, v)
 			}
-			if len(h) > 1 {
-				siftDownStripe(h, 0)
-			}
+			sc.acc[j] = 0
 		}
-		if v := sum * scale; v > 0 {
-			dstIDs = append(dstIDs, int(u))
-			dstVals = append(dstVals, v)
-		}
+		sc.touched[w] = 0
 	}
+	densePool.Put(sc)
 	return dstIDs, dstVals
 }
 
-// stripeCursor walks one columnar segment during the per-stripe heap merge.
-type stripeCursor struct {
-	ids  []int32
-	vals []float64
-	pos  int
+// dense is the scratch of a k ≥ 3 stripe bundle vector: a per-consumer
+// accumulator and a bitmap of the consumers touched. Both are all zero
+// between uses.
+type dense struct {
+	acc     []float64
+	touched []uint64
 }
 
-// siftDownStripe restores the min-heap property (by head consumer id) for
-// the subtree rooted at i.
-func siftDownStripe(h []stripeCursor, i int) {
-	for {
-		l := 2*i + 1
-		if l >= len(h) {
-			return
-		}
-		min := l
-		if r := l + 1; r < len(h) && h[r].ids[h[r].pos] < h[l].ids[h[l].pos] {
-			min = r
-		}
-		if h[i].ids[h[i].pos] <= h[min].ids[h[min].pos] {
-			return
-		}
-		h[i], h[min] = h[min], h[i]
-		i = min
+var densePool = sync.Pool{New: func() any { return new(dense) }}
+
+// denseScratch returns pooled scratch covering width consumers; the caller
+// returns it to densePool once cleared.
+func denseScratch(width int) *dense {
+	sc := densePool.Get().(*dense)
+	if len(sc.acc) < width {
+		sc.acc = make([]float64, width)
+		sc.touched = make([]uint64, (width+63)/64)
 	}
+	sc.touched = sc.touched[:(width+63)/64]
+	return sc
 }
 
 // UnionVectors is the striped reduction of the package-level UnionVectors:

@@ -15,7 +15,9 @@ func stripeSizes(m int) []int {
 
 // TestShardBundleVectorMatchesMatrix is the striped-storage equivalence
 // property: a Shard's per-stripe columnar aggregation of any bundle equals
-// the Matrix's flat postings merge within 1e-9, for every stripe size.
+// the Matrix's flat postings merge within 1e-9, for every stripe size. The
+// Matrix's heap merge is an independent oracle: for three or more items it
+// sums in another order than the shard's dense accumulator.
 func TestShardBundleVectorMatchesMatrix(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	thetas := []float64{-0.3, 0, 0.25}
@@ -204,6 +206,27 @@ func TestForEachStripe(t *testing.T) {
 		}
 		if diff := math.Abs(got - w.Total()); diff > 1e-6 {
 			t.Fatalf("workers=%d: striped total %g, matrix total %g", workers, got, w.Total())
+		}
+	}
+}
+
+// TestShardBundleVectorZeroAlloc asserts a k ≥ 3 bundle vector into
+// preallocated dst allocates nothing once the dense scratch is pooled, for
+// a shard of one stripe and of several.
+func TestShardBundleVectorZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop scratch at random")
+	}
+	rng := rand.New(rand.NewSource(41))
+	w := randomMatrix(t, rng, 300, 12, 0.4)
+	items := []int{1, 4, 7, 9}
+	for _, size := range []int{64, 300} {
+		sh := w.Shard(size)
+		ids, vals := sh.BundleVector(items, 0.1, nil, nil)
+		if allocs := testing.AllocsPerRun(100, func() {
+			ids, vals = sh.BundleVector(items, 0.1, ids, vals)
+		}); allocs != 0 {
+			t.Errorf("stripe=%d: %v allocs per k=%d bundle vector, want 0", size, allocs, len(items))
 		}
 	}
 }
