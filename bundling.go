@@ -75,8 +75,9 @@
 // allocation-free depth-first search over transaction bitmaps, and checks
 // maximality against a vertical index of the recorded sets (one slot
 // bitmap per item) instead of scanning them; its k ≥ 3 bundle vectors sum
-// into a dense per-stripe accumulator. On the benchmark's 200×60 corpus
-// mining is ~10× faster than the linear-scan miner, with the same
+// into a dense per-stripe accumulator. On a 200×60 generated corpus
+// (BenchmarkMineMaximalCorpus, 2-core Xeon) mining is ~10× faster than the
+// linear-scan miner it replaced, with 86× fewer allocations and the same
 // itemsets in the same order (pinned by a golden test in internal/fim).
 //
 // # Serving
